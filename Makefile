@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench bench-compare chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
+.PHONY: check build vet fmt test race bench bench-compare chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke perfbench
 
 # check is the full gate: build, vet, formatting, unit tests, the
 # race-detector run over the packages with real concurrency, the
@@ -94,6 +94,20 @@ tasklet-smoke:
 rescale-smoke:
 	$(GO) test -race -run 'TestChaosRescale' ./internal/chaos/ -timeout 300s
 	$(GO) run ./cmd/impeller-bench -exp rescale -duration 2s -scale 0.05
+
+# perfbench runs the repository benchmark (BENCHMARK.json, perfbench/)
+# once per workload in W at one seed; TRACE=1 adds the per-layer
+# counters, recovery timings and hop spans, TRACE=0 gives the untraced
+# end-to-end metrics. Each workload takes ~35 s, so it is not part of
+# check. Example: make perfbench W=q12-kill SEED=3 TRACE=0
+W ?= q1-durable q12-aligned q12-kill
+SEED ?= 1
+TRACE ?= 1
+perfbench:
+	@for w in $(W); do \
+		echo "== $$w seed=$(SEED) trace=$(TRACE)"; \
+		python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds 20 --trace $(TRACE) || exit 1; \
+	done
 
 # bench runs the sharedlog micro-benchmarks (no -race; see results/).
 bench:

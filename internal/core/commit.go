@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"time"
 
 	"impeller/internal/sharedlog"
 )
@@ -24,6 +25,19 @@ func (t *Task) commit(ctx context.Context) error {
 	default:
 		return errors.New("core: unknown protocol")
 	}
+}
+
+// commitDue is the commit schedule both engines share (DESIGN.md §2.5).
+// The CommitInterval timer (deadline) bounds every stage. Under progress
+// markers a task also commits as soon as it has processed input that an
+// upstream marker released, so a multi-stage query pays one commit wait
+// at the stage fed by the source instead of one per stage. drained
+// reports that the loop has finished with the input in hand, so one
+// upstream marker triggers at most one cascade commit. Source input is
+// committed on arrival and never cascades: source-fed stages keep the
+// timer alone.
+func (t *Task) commitDue(now, deadline time.Time, drained bool) bool {
+	return !now.Before(deadline) || (t.released && drained)
 }
 
 // commitMarker writes one progress marker: a consistent cut of input,
@@ -61,12 +75,13 @@ func (t *Task) commitMarker(ctx context.Context) error {
 	// Epoch on a marker batch carries the assignment epoch the instance
 	// runs under; recovery reads it off the last marker to bound its
 	// handoff-floor scan (applyHandoffFloors).
+	ctrl := m.Encode()
 	payload := (&Batch{
 		Kind:     KindMarker,
 		Producer: t.ID,
 		Instance: t.Instance,
 		Epoch:    t.assignEpoch,
-		Control:  m.Encode(),
+		Control:  ctrl,
 	}).Encode()
 
 	// The conditional append fences zombies: it succeeds only while the
@@ -102,8 +117,8 @@ func (t *Task) commitMarker(ctx context.Context) error {
 	}
 	t.Metrics.Appends.Add(1)
 	t.Metrics.Markers.Add(1)
-	t.Metrics.MarkerBytes.Add(uint64(len(m.Encode())))
-	t.Metrics.MarkerBytesUnshrunk.Add(uint64(m.UnshrunkSize()))
+	t.Metrics.MarkerBytes.Add(uint64(len(ctrl)))
+	t.Metrics.MarkerBytesUnshrunk.Add(uint64(m.unshrunkSize(len(ctrl))))
 
 	t.resetProgress()
 	return nil
@@ -111,11 +126,12 @@ func (t *Task) commitMarker(ctx context.Context) error {
 
 func (t *Task) resetProgress() {
 	t.progressMu.Lock()
-	t.outFirst = make(map[sharedlog.Tag]LSN)
+	clear(t.outFirst) // the committed marker holds its own copy
 	t.changeFirst = NoLSN
 	t.progressMu.Unlock()
 	t.activity = false
 	t.firstCommit = false
+	t.released = false
 }
 
 // --- Kafka Streams transaction protocol (paper §3.6) ---

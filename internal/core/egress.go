@@ -206,7 +206,7 @@ func (s *Sink) ingest(ctx context.Context, rec *sharedlog.Record, tags []sharedl
 	}
 	if b.Kind.isControl() {
 		if s.gated {
-			if err := s.observe(b, rec.LSN); err != nil {
+			if err := s.tracker.observeControl(b, rec.LSN); err != nil {
 				return err
 			}
 			s.drain(ctx, tags)
@@ -285,13 +285,6 @@ func (s *Sink) noteInvalidation() {
 	s.mu.Lock()
 	s.invalidations++
 	s.mu.Unlock()
-}
-
-func (s *Sink) observe(b *Batch, lsn LSN) error {
-	if mt, ok := s.tracker.(*multiTagMarkerTracker); ok {
-		return mt.observe(b, lsn)
-	}
-	return s.tracker.observeControl(b, lsn)
 }
 
 func (s *Sink) drain(ctx context.Context, tags []sharedlog.Tag) {

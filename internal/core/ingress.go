@@ -34,6 +34,13 @@ type Ingress struct {
 	// Env.Batch at construction, off when MaxRecords is pinned to 1.
 	batched bool
 
+	// flushMu serializes flushes, so a Flush returns only once every
+	// record sent before it is appended, including records an
+	// overlapping flush (Run's ticker) took first. It also keeps one
+	// writer's batches in sequence order per substream when a failed
+	// flush re-buffers its records: downstream dedup is a per-producer
+	// floor and would drop a lower sequence number appended late.
+	flushMu  sync.Mutex
 	mu       sync.Mutex
 	bufs     []*batchBuf
 	seq      uint64
@@ -104,6 +111,8 @@ type ingressPending struct {
 }
 
 func (g *Ingress) flush(ctx context.Context) error {
+	g.flushMu.Lock()
+	defer g.flushMu.Unlock()
 	g.mu.Lock()
 	var out []ingressPending
 	for sub, buf := range g.bufs {

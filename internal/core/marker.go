@@ -110,9 +110,12 @@ func DecodeMarker(buf []byte) (*ProgressMarker, error) {
 // output substream, and the change log); the marker-shrinking ablation
 // bench compares it against len(Encode()).
 func (m *ProgressMarker) UnshrunkSize() int {
-	size := len(m.Encode())
+	return m.unshrunkSize(len(m.Encode()))
+}
+
+// unshrunkSize is UnshrunkSize given the marker's encoded length.
+func (m *ProgressMarker) unshrunkSize(encoded int) int {
 	// One extra LSN for the input range start, one per output substream
 	// range end, and one for the change-log range end.
-	size += 8 + len(m.OutFirst)*8 + 8
-	return size
+	return encoded + 8 + len(m.OutFirst)*8 + 8
 }

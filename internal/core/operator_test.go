@@ -460,3 +460,20 @@ func TestJoinBadPort(t *testing.T) {
 		t.Fatal("port 2 accepted")
 	}
 }
+
+// TestWindowStateKeyLayout pins the window state-store key layout,
+// "<name>/w/<8-byte big-endian start>/<key>", that change logs and
+// snapshots carry.
+func TestWindowStateKeyLayout(t *testing.T) {
+	w := &windowAggregate{name: "agg"}
+	for _, c := range []struct {
+		start int64
+		key   []byte
+	}{{0, []byte("k")}, {1 << 40, []byte("a/b")}, {-1, nil}} {
+		var sb [8]byte
+		binary.BigEndian.PutUint64(sb[:], uint64(c.start))
+		if got, want := w.stateKey(c.start, c.key), fmt.Sprintf("agg/w/%s/%s", sb[:], c.key); got != want {
+			t.Fatalf("stateKey(%d, %q) = %q, want %q", c.start, c.key, got, want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"impeller/internal/kvstore"
 	"impeller/internal/sharedlog"
+	"impeller/internal/sim"
 )
 
 func TestBatcherPreservesSubmissionOrder(t *testing.T) {
@@ -477,5 +478,41 @@ func TestTaskIDsStableOrder(t *testing.T) {
 		if ids[i] != want[i] {
 			t.Fatalf("ids[%d] = %s, want %s", i, ids[i], want[i])
 		}
+	}
+}
+
+// TestIngressFlushWaitsForInFlightFlush pins that Flush returns only
+// once every record sent before it is in the log, even when another
+// flush (Run's ticker) took those records first and is still
+// appending. A power failure right after Flush must not lose them.
+func TestIngressFlushWaitsForInFlightFlush(t *testing.T) {
+	const latency = 200 * time.Millisecond
+	env := (&Env{
+		Log:         sharedlog.Open(sharedlog.Config{AppendLatency: sim.FixedLatency(latency)}),
+		Checkpoints: kvstore.Open(kvstore.Config{}),
+	}).withDefaults()
+	defer env.Log.Close()
+	g := NewIngress("ingress/t", "in", 1, env, nil)
+	g.Send([]byte("k"), []byte("v"), 0)
+	first := make(chan error, 1)
+	go func() { first <- g.Flush() }()
+	// Wait until the first flush has taken the buffer.
+	for {
+		g.mu.Lock()
+		taken := len(g.bufs[0].records) == 0
+		g.mu.Unlock()
+		if taken {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := env.Log.CountTag(DataTag("in", 0)); n != 1 {
+		t.Fatalf("Flush returned with %d of 1 sent batches in the log", n)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
 }

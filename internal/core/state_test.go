@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"impeller/internal/sharedlog"
 )
 
 func TestStateStoreBasics(t *testing.T) {
@@ -222,5 +224,35 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPersistSeqKeyRoundTrip pins the "_seq/<group>/<producer>" layout
+// that persistSeq writes (from its per-seqKey cache) and
+// restoreSeqFromStore parses.
+func TestPersistSeqKeyRoundTrip(t *testing.T) {
+	env := (&Env{Log: sharedlog.Open(sharedlog.Config{}), Protocol: ProtoProgressMarker}).withDefaults()
+	defer env.Log.Close()
+	stage := &Stage{
+		Name:         "st",
+		Parallelism:  1,
+		Inputs:       []StreamID{"in"},
+		NewProcessor: func() Processor { return Count("c") },
+		Stateful:     true,
+	}
+	task := NewTask(stage, 0, 1, env, TaskOptions{})
+	sk := seqKey{group: 0, producer: "up/3"}
+	for _, seq := range []uint64{5, 9} {
+		task.lastSeq[sk] = seq
+		task.persistSeq(sk)
+	}
+	v, ok := task.store.Get("_seq/0/up/3")
+	if !ok || getUint64(v) != 9 {
+		t.Fatalf("_seq/0/up/3 = %v, %v; want 9", v, ok)
+	}
+	delete(task.lastSeq, sk)
+	task.restoreSeqFromStore()
+	if got := task.lastSeq[sk]; got != 9 {
+		t.Fatalf("restored floor = %d, want 9", got)
 	}
 }

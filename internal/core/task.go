@@ -66,6 +66,7 @@ type Task struct {
 	queue     []queuedBatch
 	tracker   commitTracker
 	lastSeq   map[seqKey]uint64
+	seqKeys   map[seqKey]string // persistSeq's state-store key per seqKey
 	// groupFloor, set by recovery from the handoff keys, suppresses data
 	// records below an acquired group's transfer floor: the donor slot
 	// already committed them under the previous assignment epoch.
@@ -104,6 +105,11 @@ type Task struct {
 
 	activity    bool // anything consumed/produced since last commit
 	firstCommit bool // force one commit after recovery
+	// released marks that, since the last commit, the task processed
+	// input an upstream progress marker released (a committed KindData
+	// batch); commitDue then cascades the commit instead of waiting for
+	// the timer.
+	released bool
 
 	// --- protocol machinery ---
 	txn              *TxnCoordinator
@@ -164,6 +170,7 @@ func NewTask(stage *Stage, sub int, instance uint64, env *Env, opts TaskOptions)
 		log:         env.Log,
 		proc:        stage.NewProcessor(),
 		lastSeq:     make(map[seqKey]uint64),
+		seqKeys:     make(map[seqKey]string),
 		groupFloor:  make(map[int]LSN),
 		skipBelow:   make(map[TaskID]LSN),
 		outFirst:    make(map[sharedlog.Tag]LSN),
@@ -376,9 +383,19 @@ func newMultiTagMarkerTracker(tags []sharedlog.Tag) *multiTagMarkerTracker {
 	return m
 }
 
+// observeControl decodes a progress marker once and hands it to every
+// per-tag tracker: each needs the producer's new committed top, and the
+// one whose tag the marker covers also records the committed range.
 func (m *multiTagMarkerTracker) observeControl(b *Batch, lsn LSN) error {
+	if b.Kind != KindMarker {
+		return nil
+	}
+	mk, err := DecodeMarker(b.Control)
+	if err != nil {
+		return err
+	}
 	for _, t := range m.byTag {
-		if err := t.observeControl(b, lsn); err != nil {
+		if err := t.observeMarker(b, mk, lsn); err != nil {
 			return err
 		}
 	}
@@ -394,11 +411,12 @@ func (m *multiTagMarkerTracker) classifyTagged(tag sharedlog.Tag, b *Batch, lsn 
 	return t.classify(b, lsn)
 }
 
+// observe is observeControl.
 func (m *multiTagMarkerTracker) observe(b *Batch, lsn LSN) error { return m.observeControl(b, lsn) }
 
-// observeControl/classify satisfy commitTracker; classify uses the
-// first tag (single-input fast path). The task runtime calls
-// classifyTagged directly when it knows the arrival tag.
+// classify satisfies commitTracker using the first tag (single-input
+// fast path). The task runtime calls classifyTagged directly when it
+// knows the arrival tag.
 func (m *multiTagMarkerTracker) classify(b *Batch, lsn LSN) classification {
 	return m.classifyTagged(m.tags[0], b, lsn)
 }
@@ -558,7 +576,7 @@ func (t *Task) Run(ctx context.Context) error {
 			t.flushOutputs()
 			nextFlush = now.Add(DefaultFlushInterval)
 		}
-		if !now.Before(nextCommit) {
+		if t.commitDue(now, nextCommit, true) {
 			if err := t.commit(ctx); err != nil {
 				return fmt.Errorf("task %s: commit: %w", t.ID, err)
 			}
@@ -620,7 +638,7 @@ func (t *Task) ingestBatch(recs []*sharedlog.Record) error {
 				}
 				continue
 			}
-			if err := t.observeControl(b, rec.LSN); err != nil {
+			if err := t.tracker.observeControl(b, rec.LSN); err != nil {
 				return err
 			}
 			if err := t.drainQueue(); err != nil {
@@ -656,13 +674,6 @@ func (t *Task) ingestBatch(recs []*sharedlog.Record) error {
 		return t.drainQueue()
 	}
 	return nil
-}
-
-func (t *Task) observeControl(b *Batch, lsn LSN) error {
-	if mt, ok := t.tracker.(*multiTagMarkerTracker); ok {
-		return mt.observe(b, lsn)
-	}
-	return t.tracker.observeControl(b, lsn)
 }
 
 func (t *Task) classify(q queuedBatch) classification {
@@ -760,6 +771,11 @@ func (t *Task) processBatch(q queuedBatch) error {
 	}
 	t.persistSeq(sk)
 	t.activity = true
+	if b.Kind == KindData && t.env.Protocol == ProtoProgressMarker {
+		// A data batch classifies committed only once an upstream
+		// marker covers it: this is input the upstream released.
+		t.released = true
+	}
 	return nil
 }
 
@@ -780,9 +796,14 @@ func (t *Task) persistSeq(sk seqKey) {
 	if !t.stage.Stateful && t.env.Protocol != ProtoAlignedCheckpoint {
 		return
 	}
+	key, ok := t.seqKeys[sk]
+	if !ok {
+		key = seqStoreKey(sk)
+		t.seqKeys[sk] = key
+	}
 	var buf [8]byte
 	putUint64(buf[:], t.lastSeq[sk])
-	t.store.Put(seqStoreKey(sk), buf[:])
+	t.store.Put(key, buf[:])
 }
 
 // seqStoreKey is the state-store key mirroring one (group, producer)

@@ -601,7 +601,10 @@ func (t *Task) taskletStep() (progress, done bool, err error) {
 		tl.nextFlush = now.Add(DefaultFlushInterval)
 		progressed = true
 	}
-	if !now.Before(tl.nextCommit) {
+	// A cascade commit waits until the released input is fully drained
+	// (no budget-paused drain, no half-ingested event), so one upstream
+	// marker triggers at most one commit here, as on the goroutine engine.
+	if t.commitDue(now, tl.nextCommit, tl.recs == nil && !tl.pendingDrain) {
 		// Commits drain in-flight appends and append the commit record —
 		// blocking work, so it runs on the blocker with exclusive
 		// ownership. Yielding here is always at a producer-batch
@@ -683,7 +686,7 @@ func (t *Task) ingestEventStep() error {
 				}
 				continue
 			}
-			if err := t.observeControl(b, rec.LSN); err != nil {
+			if err := t.tracker.observeControl(b, rec.LSN); err != nil {
 				return err
 			}
 			if err := t.drainQueueCoop(); err != nil {

@@ -98,6 +98,12 @@ func (t *markerTracker) observeControl(b *Batch, lsn LSN) error {
 	if err != nil {
 		return err
 	}
+	return t.observeMarker(b, m, lsn)
+}
+
+// observeMarker ingests marker m, already decoded from b's control
+// payload, appended at lsn.
+func (t *markerTracker) observeMarker(b *Batch, m *ProgressMarker, lsn LSN) error {
 	p := t.producer(b.Producer)
 	if b.Instance > p.maxInstance {
 		p.maxInstance = b.Instance

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 )
 
@@ -157,7 +156,7 @@ func (w *windowAggregate) watermark(st *StateStore) int64 {
 func (w *windowAggregate) stateKey(start int64, key []byte) string {
 	var sb [8]byte
 	binary.BigEndian.PutUint64(sb[:], uint64(start))
-	return fmt.Sprintf("%s/w/%s/%s", w.name, sb[:], key)
+	return w.name + "/w/" + string(sb[:]) + "/" + string(key)
 }
 
 // fireExpired emits and deletes every window whose end+grace has passed

@@ -218,10 +218,18 @@ func (c *Cursor) fetch(max int) error {
 	// One index lookup per tag per fetch (each takes its shard's read
 	// lock once), then a k-way merge in LSN order. A record carrying
 	// several watched tags appears in several candidate lists; the merge
-	// dedupes equal LSNs so it is returned once.
+	// dedupes equal LSNs so it is returned once. The lists of several
+	// tags are read under one shared hold of the index's publication
+	// lock, so they reflect the same set of insertion passes.
+	if len(c.tags) > 1 {
+		l.index.pub.RLock()
+	}
 	for i, tag := range c.tags {
 		c.perTag[i] = l.index.nextN(tag, c.pos, c.perTag[i][:0], want)
 		c.tagPos[i] = 0
+	}
+	if len(c.tags) > 1 {
+		l.index.pub.RUnlock()
 	}
 	c.merged = c.merged[:0]
 	for len(c.merged) < want {

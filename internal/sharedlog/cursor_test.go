@@ -384,3 +384,73 @@ func TestCursorMultiTagDedup(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorMultiTagSeesEveryRecord races a multi-tag cursor against
+// appends whose LSN order is the reverse of their tags' index-shard
+// order, so an insertion fills the later record's shard first. A
+// cursor that merged its per-tag lookups while an insertion was half
+// done would see the later record without the earlier one, move past
+// the earlier one and never return it. Both insertion paths run: the
+// vectorized pass of a two-entry AppendBatch and single appends.
+func TestCursorMultiTagSeesEveryRecord(t *testing.T) {
+	var early, late Tag
+	for i := 0; early == "" || late == ""; i++ {
+		tag := Tag(fmt.Sprintf("t%d", i))
+		switch shardIdx(tag) {
+		case indexShards - 1:
+			early = tag
+		case 0:
+			late = tag
+		}
+	}
+	l := Open(Config{})
+	defer l.Close()
+	const rounds = 3000
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			var err error
+			if i%2 == 0 {
+				_, err = l.AppendBatch([]AppendEntry{{Tags: []Tag{early}}, {Tags: []Tag{late}}})
+			} else if _, err = l.Append([]Tag{early}, nil); err == nil {
+				_, err = l.Append([]Tag{late}, nil)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	cur := l.OpenCursor([]Tag{early, late}, 0)
+	var got int
+	var writerDone bool
+	for got < 2*rounds {
+		recs, err := cur.NextBatch(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.LSN != LSN(got) {
+				t.Fatalf("cursor returned LSN %d, want %d: LSN %d was skipped", r.LSN, got, got)
+			}
+			got++
+		}
+		if len(recs) == 0 {
+			if writerDone {
+				break
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				writerDone = true
+			default:
+			}
+		}
+	}
+	if got != 2*rounds {
+		t.Fatalf("cursor returned %d of %d records", got, 2*rounds)
+	}
+}

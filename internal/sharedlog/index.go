@@ -20,6 +20,14 @@ import (
 const indexShards = 16 // power of two; tags hash across these
 
 type tagIndex struct {
+	// pub orders multi-tag readers against insertions. Insertions fill
+	// shards one at a time, so without it a reader merging several tags
+	// shard by shard could see a later record on one shard before an
+	// earlier record on another, move past the earlier one and never
+	// return it. Insertions (add, addRecords) hold pub exclusively; a
+	// reader that merges tags holds it shared across all of its per-tag
+	// lookups, so no insertion lands between them.
+	pub    sync.RWMutex
 	shards [indexShards]indexShard
 }
 
@@ -85,7 +93,8 @@ func (x *tagIndex) shardFor(tag Tag) *indexShard {
 // tags. Called by the ordering plane after the record is in the store.
 // Returns how many waiters this commit woke.
 func (x *tagIndex) add(tags []Tag, lsn LSN) int {
-	woken := 0
+	var toWake []*waiter
+	x.pub.Lock()
 	for _, tag := range tags {
 		s := x.shardFor(tag)
 		s.mu.Lock()
@@ -95,13 +104,19 @@ func (x *tagIndex) add(tags []Tag, lsn LSN) int {
 			s.m[tag] = e
 		}
 		e.lsns = append(e.lsns, lsn)
-		ws := e.waiters
+		if toWake == nil {
+			toWake = e.waiters // the common case: no copy
+		} else {
+			toWake = append(toWake, e.waiters...)
+		}
 		e.waiters = nil
 		s.mu.Unlock()
-		for _, w := range ws {
-			if w.wake() {
-				woken++
-			}
+	}
+	x.pub.Unlock()
+	woken := 0
+	for _, w := range toWake {
+		if w.wake() {
+			woken++
 		}
 	}
 	return woken
@@ -135,15 +150,14 @@ func (x *tagIndex) addRecords(recs []*Record) int {
 			buckets[i] = append(buckets[i], tagInsert{tag: tag, lsn: rec.LSN})
 		}
 	}
-	woken := 0
 	var toWake []*waiter
+	x.pub.Lock()
 	for i := range buckets {
 		ins := buckets[i]
 		if len(ins) == 0 {
 			continue
 		}
 		s := &x.shards[i]
-		toWake = toWake[:0]
 		s.mu.Lock()
 		for _, in := range ins {
 			e := s.m[in.tag]
@@ -158,10 +172,12 @@ func (x *tagIndex) addRecords(recs []*Record) int {
 			}
 		}
 		s.mu.Unlock()
-		for _, w := range toWake {
-			if w.wake() {
-				woken++
-			}
+	}
+	x.pub.Unlock()
+	woken := 0
+	for _, w := range toWake {
+		if w.wake() {
+			woken++
 		}
 	}
 	return woken

@@ -61,12 +61,14 @@ func (l *Log) readNextAny(tags []Tag, from LSN) (*Record, error) {
 	for {
 		best := MaxLSN
 		found := false
+		l.index.pub.RLock() // one consistent view across tags (see tagIndex.pub)
 		for _, tag := range tags {
 			if lsn, ok := l.index.next(tag, from); ok && lsn < best {
 				best = lsn
 				found = true
 			}
 		}
+		l.index.pub.RUnlock()
 		if !found {
 			if from < l.store.trimHorizon() {
 				return nil, ErrTrimmed
